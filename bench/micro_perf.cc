@@ -237,4 +237,23 @@ BM_EndToEndSpinMutex(benchmark::State &state)
 }
 BENCHMARK(BM_EndToEndSpinMutex)->Unit(benchmark::kMillisecond);
 
+// Global-scope mutex on GH: every release drains the L1's dirty
+// words (the dirty-frame index) and every acquire spins through the
+// TB awaiters, so this cell tracks the serial hot path of the
+// global-sync figures.
+static void
+BM_EndToEndGlobalMutexGH(benchmark::State &state)
+{
+    for (auto _ : state) {
+        auto workload = makeScaled("FAM_G", 10);
+        SystemConfig config;
+        config.protocol = ProtocolConfig::gh();
+        System system(config);
+        RunResult result = system.run(*workload);
+        benchmark::DoNotOptimize(result.cycles);
+    }
+    state.SetLabel("FAM_G at 10% scale on GH");
+}
+BENCHMARK(BM_EndToEndGlobalMutexGH)->Unit(benchmark::kMillisecond);
+
 BENCHMARK_MAIN();

@@ -953,8 +953,8 @@ DenovoL1Cache::sync(const SyncOp &op, ValueCallback cb)
 {
     Scope scope = _config.effectiveScope(op.scope);
     auto perform = [this, op, scope, cb = std::move(cb)]() mutable {
-        auto finish = [this, op, scope,
-                       cb = std::move(cb)](std::uint32_t value) {
+        auto finish = [this, op, scope, cb = std::move(cb)](
+                          std::uint32_t value) mutable {
             finishSync(op, scope, value, std::move(cb));
         };
         if (_config.syncEngine && scope != Scope::Local)
@@ -1243,9 +1243,10 @@ DenovoL1Cache::performLocalHrfSync(const SyncOp &op, ValueCallback cb)
     if (!peekLocal(op.addr, old_val)) {
         // Fetch the line first, then perform locally.
         ++_stats.syncMisses;
-        load(op.addr, [this, op, cb = std::move(cb)](std::uint32_t) {
-            performLocalHrfSync(op, std::move(cb));
-        });
+        load(op.addr,
+             [this, op, cb = std::move(cb)](std::uint32_t) mutable {
+                 performLocalHrfSync(op, std::move(cb));
+             });
         return;
     }
 
@@ -1658,7 +1659,7 @@ DenovoL1Cache::checkInvariants(bool quiesced) const
 
 void
 DenovoL1Cache::forEachRegisteredWord(
-    const std::function<void(Addr)> &fn) const
+    const Callback<void(Addr)> &fn) const
 {
     _array.forEachValid([&](const CacheLine &line) {
         for (unsigned w = 0; w < kWordsPerLine; ++w) {

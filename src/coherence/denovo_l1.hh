@@ -119,7 +119,7 @@ class DenovoL1Cache : public L1Controller
 
     /** Invoke @p fn with the word address of every Registered word. */
     void forEachRegisteredWord(
-        const std::function<void(Addr)> &fn) const;
+        const Callback<void(Addr)> &fn) const;
 
     /**
      * Test hook for checker regression tests: force a word's

@@ -58,7 +58,7 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
 // ---------------------------------------------------------------------
 
 void
-DenovoL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
+DenovoL2Bank::withLine(Addr line_addr, LineFn fn)
 {
     line_addr = lineAlign(line_addr);
     _energy.l2Access();
@@ -76,9 +76,7 @@ DenovoL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
 }
 
 void
-DenovoL2Bank::withLineReady(Addr line_addr,
-                            std::function<void(CacheLine &)> fn,
-                            bool queued)
+DenovoL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
 {
     // Pipelined bank: one new access per l2CycleTime cycles.
     Tick start = std::max(curTick(), _bankFree);
@@ -312,7 +310,8 @@ DenovoL2Bank::handleReadReq(Addr line_addr, WordMask mask,
 {
     ++_reads;
     withLine(line_addr, [this, line_addr, mask, requestor, req_epoch,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         WordMask self_mask = 0;
         bool any_fwd = false;
         std::fill(_fwdScratch.begin(), _fwdScratch.end(),
@@ -341,7 +340,8 @@ DenovoL2Bank::handleReadReq(Addr line_addr, WordMask mask,
         }
         unsigned flits = flitsForWords(popcount(l2_mask));
         _mesh.send(_node, requestor, flits, TrafficClass::Read,
-                   [reply, l2_mask, data = line.data, self_mask] {
+                   [reply = std::move(reply), l2_mask, data = line.data,
+                    self_mask] {
                        reply(l2_mask, data, self_mask);
                    });
 
@@ -385,7 +385,8 @@ DenovoL2Bank::handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
         ++_registrations;
 
     withLine(line_addr, [this, line_addr, mask, is_sync, requestor,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         WordMask direct = 0;
         WordMask moved = 0;
         bool any_fwd = false;
@@ -430,7 +431,8 @@ DenovoL2Bank::handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
         unsigned flits = is_sync ? flitsForWords(popcount(direct))
                                  : kControlFlits;
         _mesh.send(_node, requestor, flits, cls,
-                   [reply, direct, data = line.data] {
+                   [reply = std::move(reply), direct,
+                    data = line.data] {
                        reply(direct, data);
                    });
 
@@ -469,7 +471,7 @@ DenovoL2Bank::handleWriteBack(Addr line_addr, WordMask mask,
                               DoneCallback ack)
 {
     withLine(line_addr, [this, mask, data, requestor,
-                         ack = std::move(ack)](CacheLine &line) {
+                         ack = std::move(ack)](CacheLine &line) mutable {
         WordMask accepted = 0;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             WordMask bit = static_cast<WordMask>(1u << w);
@@ -504,7 +506,7 @@ DenovoL2Bank::handleStreamingWrite(Addr line_addr, WordMask mask,
                                    NodeId requestor, DoneCallback ack)
 {
     withLine(line_addr, [this, mask, data, requestor,
-                         ack = std::move(ack)](CacheLine &line) {
+                         ack = std::move(ack)](CacheLine &line) mutable {
         WordMask accepted = 0;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             WordMask bit = static_cast<WordMask>(1u << w);
@@ -737,7 +739,7 @@ DenovoL2Bank::checkInvariants(bool quiesced) const
 
 void
 DenovoL2Bank::forEachRegisteredWord(
-    const std::function<void(Addr, NodeId)> &fn) const
+    const Callback<void(Addr, NodeId)> &fn) const
 {
     _array.forEachValid([&](const CacheLine &line) {
         for (unsigned w = 0; w < kWordsPerLine; ++w) {

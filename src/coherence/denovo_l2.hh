@@ -15,7 +15,6 @@
 #define COHERENCE_DENOVO_L2_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "coherence/cache_timings.hh"
@@ -37,14 +36,14 @@ class DenovoL1Cache;
 /** Reply to a data read: words served from L2, and words the
  *  requestor itself still owns (e.g. a writeback raced the read). */
 using ReadReply =
-    std::function<void(WordMask l2_mask, const LineData &data,
-                       WordMask self_mask)>;
+    Callback<void(WordMask l2_mask, const LineData &data,
+                  WordMask self_mask)>;
 
 /** Reply to a registration: words granted directly from the L2 (with
  *  current values, needed by sync registrations). Words not covered
  *  arrive later as ownership transfers from previous owners. */
 using RegReply =
-    std::function<void(WordMask direct_mask, const LineData &data)>;
+    Callback<void(WordMask direct_mask, const LineData &data)>;
 
 /** One bank of the DeNovo registry. */
 class DenovoL2Bank : public L2Controller
@@ -129,7 +128,7 @@ class DenovoL2Bank : public L2Controller
 
     /** Invoke @p fn(word_addr, owner) for every registered word. */
     void forEachRegisteredWord(
-        const std::function<void(Addr, NodeId)> &fn) const;
+        const Callback<void(Addr, NodeId)> &fn) const;
 
     /**
      * Test hook for checker regression tests: force a registry entry
@@ -140,7 +139,10 @@ class DenovoL2Bank : public L2Controller
     void debugSetOwner(Addr addr, NodeId owner);
 
   private:
-    void withLine(Addr line_addr, std::function<void(CacheLine &)> fn);
+    /** Continuation run on a resident line. */
+    using LineFn = Callback<void(CacheLine &)>;
+
+    void withLine(Addr line_addr, LineFn fn);
     void startFetch(Addr line_addr);
     void finishFetch(Addr line_addr);
 
@@ -175,7 +177,7 @@ class DenovoL2Bank : public L2Controller
 
     struct FetchEntry
     {
-        std::vector<std::function<void(CacheLine &)>> waiters;
+        std::vector<LineFn> waiters;
         bool dramDone = false;
     };
     MshrTable<FetchEntry> _fetches;
@@ -185,19 +187,16 @@ class DenovoL2Bank : public L2Controller
      * arrival order: the protocol's writeback/registration races rely
      * on per-source FIFO processing, so the bank must not reorder.
      */
-    std::deque<std::pair<Addr, std::function<void(CacheLine &)>>>
-        _stalled;
+    std::deque<std::pair<Addr, LineFn>> _stalled;
 
-    void withLineReady(Addr line_addr,
-                       std::function<void(CacheLine &)> fn,
-                       bool queued = false);
+    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
     void processStalled();
 
     struct RecallState
     {
         WordMask outstanding = 0;
         /** Requests that arrived for the victim line mid-recall. */
-        std::vector<std::function<void()>> deferred;
+        std::vector<DoneCallback> deferred;
         /** Fetches whose install waits on this recall. */
         std::vector<Addr> blockedFetches;
     };

@@ -1,5 +1,7 @@
 #include "coherence/gpu_l1.hh"
 
+#include <bit>
+
 #include "analysis/race_detector.hh"
 #include "trace/trace_sink.hh"
 
@@ -17,6 +19,7 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
     : L1Controller(name, eq, stats, energy, node, config, trace),
       _mesh(mesh), _banks(std::move(banks)),
       _array(geom.l1Bytes, geom.l1Assoc),
+      _dirtyFrames((_array.numFrames() + 63) / 64, 0),
       _sb(geom.storeBufferEntries), _timings(timings),
       _mshr(geom.l1MshrEntries)
 {
@@ -298,7 +301,7 @@ GpuL1Cache::store(Addr addr, std::uint32_t value, DoneCallback cb)
         unsigned w = wordInLine(addr);
         line->data[w] = value;
         line->wstate[w] = WordState::Valid;
-        line->dirty |= static_cast<WordMask>(1u << w);
+        markDirty(*line, static_cast<WordMask>(1u << w));
         _array.touch(*line);
         scheduleIn(_timings.l1Hit, std::move(cb));
         return;
@@ -397,28 +400,48 @@ GpuL1Cache::sendWriteThrough(Addr line_addr, WordMask mask,
                });
 }
 
+void
+GpuL1Cache::markDirty(CacheLine &line, WordMask bits)
+{
+    if (line.dirty == 0) {
+        std::size_t index = _array.frameIndex(line);
+        _dirtyFrames[index / 64] |= std::uint64_t{1} << (index % 64);
+    }
+    line.dirty |= bits;
+}
+
 std::vector<StoreBuffer::DrainGroup>
 GpuL1Cache::collectDirtyWords()
 {
+    // Same groups, in the same order, as a walk over every valid
+    // frame: the index visits candidate frames in array order, each
+    // once, and skips the ones no longer dirty.
     std::vector<StoreBuffer::DrainGroup> groups;
-    _array.forEachValid([&](CacheLine &line) {
-        if (line.dirty == 0)
-            return;
-        StoreBuffer::DrainGroup group{line.addr, 0, LineData{}};
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            WordMask bit = static_cast<WordMask>(1u << w);
-            if (!(line.dirty & bit))
+    for (std::size_t chunk = 0; chunk < _dirtyFrames.size(); ++chunk) {
+        std::uint64_t bits = std::exchange(_dirtyFrames[chunk], 0);
+        for (; bits != 0; bits &= bits - 1) {
+            CacheLine &line = _array.frame(
+                chunk * 64 +
+                static_cast<std::size_t>(std::countr_zero(bits)));
+            if (!line.valid || line.dirty == 0)
                 continue;
-            // Words still buffered in the SB are drained from there.
-            if (_sb.contains(line.addr + w * kWordBytes))
-                continue;
-            group.mask |= bit;
-            group.data[w] = line.data[w];
+            StoreBuffer::DrainGroup group{line.addr, 0, LineData{}};
+            for (unsigned w = 0; w < kWordsPerLine; ++w) {
+                WordMask bit = static_cast<WordMask>(1u << w);
+                if (!(line.dirty & bit))
+                    continue;
+                // Words still buffered in the SB are drained from
+                // there.
+                if (_sb.contains(line.addr + w * kWordBytes))
+                    continue;
+                group.mask |= bit;
+                group.data[w] = line.data[w];
+            }
+            line.dirty = 0;
+            if (group.mask != 0)
+                groups.push_back(group);
         }
-        line.dirty = 0;
-        if (group.mask != 0)
-            groups.push_back(group);
-    });
+    }
     return groups;
 }
 
@@ -508,8 +531,8 @@ GpuL1Cache::sync(const SyncOp &op, ValueCallback cb)
 {
     Scope scope = _config.effectiveScope(op.scope);
     auto perform = [this, op, scope, cb = std::move(cb)]() mutable {
-        auto finish = [this, op, scope,
-                       cb = std::move(cb)](std::uint32_t value) {
+        auto finish = [this, op, scope, cb = std::move(cb)](
+                          std::uint32_t value) mutable {
             finishSync(op, scope, value, std::move(cb));
         };
         if (scope == Scope::Local)
@@ -545,7 +568,7 @@ GpuL1Cache::performRemoteAtomic(const SyncOp &op, ValueCallback cb)
     GpuL2Bank &bank = homeBank(op.addr);
     unsigned flits = flitsForWords(1);
     _mesh.send(_node, bank.node(), flits, TrafficClass::Atomic,
-               [this, &bank, op, cb = std::move(cb)] {
+               [this, &bank, op, cb = std::move(cb)]() mutable {
                    bank.handleAtomic(op, _node, std::move(cb));
                });
 }
@@ -602,7 +625,7 @@ GpuL1Cache::applyLocalAtomic(CacheLine &line, const SyncOp &op,
     AtomicResult res = applyAtomic(op, old_val);
     line.data[w] = res.newValue;
     line.wstate[w] = WordState::Valid;
-    line.dirty |= static_cast<WordMask>(1u << w);
+    markDirty(line, static_cast<WordMask>(1u << w));
     _sb.erase(op.addr);
     _array.touch(line);
     scheduleIn(_timings.l1Atomic,
@@ -629,6 +652,17 @@ GpuL1Cache::kernelEnd(DoneCallback cb)
 // ---------------------------------------------------------------------
 // Test hooks
 // ---------------------------------------------------------------------
+
+std::vector<std::pair<Addr, WordMask>>
+GpuL1Cache::dirtyLines() const
+{
+    std::vector<std::pair<Addr, WordMask>> out;
+    _array.forEachValid([&](const CacheLine &line) {
+        if (line.dirty != 0)
+            out.emplace_back(line.addr, line.dirty);
+    });
+    return out;
+}
 
 bool
 GpuL1Cache::wordValid(Addr addr) const
@@ -686,6 +720,16 @@ GpuL1Cache::checkInvariants(bool quiesced) const
             std::ostringstream os;
             os << "leaked MSHR entry for line 0x" << std::hex
                << line_addr << " (no request, no waiters)";
+            fail(os.str());
+        }
+    });
+    _array.forEachValid([&](const CacheLine &line) {
+        std::size_t index = _array.frameIndex(line);
+        bool indexed = (_dirtyFrames[index / 64] >> (index % 64)) & 1;
+        if (line.dirty != 0 && !indexed) {
+            std::ostringstream os;
+            os << "dirty line 0x" << std::hex << line.addr
+               << " missing from the dirty-frame index";
             fail(os.str());
         }
     });

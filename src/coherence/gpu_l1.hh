@@ -52,6 +52,12 @@ class GpuL1Cache : public L1Controller
     bool wordValid(Addr addr) const;
     /** Test hook: number of buffered stores. */
     std::size_t storeBufferSize() const { return _sb.size(); }
+    /**
+     * Test hook: (line address, dirty mask) of every dirty frame, by
+     * a full walk of the array in array order (the reference the
+     * release drain's dirty-frame index must reproduce).
+     */
+    std::vector<std::pair<Addr, WordMask>> dirtyLines() const;
 
     // Diagnostics -----------------------------------------------------
     /** Structured view of outstanding transaction state. */
@@ -129,7 +135,13 @@ class GpuL1Cache : public L1Controller
     void sendWriteThrough(Addr line_addr, WordMask mask,
                           const LineData &data);
 
-    /** Collect L1-dirty words not covered by the store buffer. */
+    /** Mark @p bits of @p line dirty and index its frame. */
+    void markDirty(CacheLine &line, WordMask bits);
+
+    /**
+     * Collect L1-dirty words not covered by the store buffer, visiting
+     * only the indexed frames, in array order.
+     */
     std::vector<StoreBuffer::DrainGroup> collectDirtyWords();
 
     /** Start a full drain; cb fires when every ack returned. */
@@ -143,6 +155,13 @@ class GpuL1Cache : public L1Controller
     Mesh &_mesh;
     std::vector<GpuL2Bank *> _banks;
     CacheArray _array;
+    /**
+     * Dirty-frame index: one bit per frame, in array order, set when
+     * the frame's dirty mask goes non-zero and cleared by the next
+     * release drain. A set bit may be stale (the frame was evicted
+     * and flushed since); a dirty frame always has its bit set.
+     */
+    std::vector<std::uint64_t> _dirtyFrames;
     StoreBuffer _sb;
     CacheTimings _timings;
     MshrTable<ReadEntry> _mshr;

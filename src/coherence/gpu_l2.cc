@@ -48,7 +48,7 @@ GpuL2Bank::installLine(Addr line_addr)
 }
 
 void
-GpuL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
+GpuL2Bank::withLine(Addr line_addr, LineFn fn)
 {
     line_addr = lineAlign(line_addr);
     _energy.l2Access();
@@ -56,9 +56,7 @@ GpuL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
 }
 
 void
-GpuL2Bank::withLineReady(Addr line_addr,
-                         std::function<void(CacheLine &)> fn,
-                         bool queued)
+GpuL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
 {
     // Pipelined bank: one new access per l2CycleTime cycles.
     Tick start = std::max(curTick(), _bankFree);
@@ -125,11 +123,12 @@ GpuL2Bank::processStalled()
 
 void
 GpuL2Bank::handleReadReq(Addr line_addr, NodeId requestor,
-                         std::function<void(const LineData &)> reply)
+                         Callback<void(const LineData &)> reply)
 {
     ++_reads;
     withLine(line_addr, [this, line_addr, requestor,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         if (_trace) {
             _trace->record(curTick(), trace::Phase::L2ReadServe, _node,
                            line_addr, 0,
@@ -137,7 +136,7 @@ GpuL2Bank::handleReadReq(Addr line_addr, NodeId requestor,
         }
         LineData data = line.data;
         _mesh.send(_node, requestor, kLineFlits, TrafficClass::Read,
-                   [reply, data] { reply(data); });
+                   [reply = std::move(reply), data] { reply(data); });
     });
 }
 
@@ -149,7 +148,7 @@ GpuL2Bank::handleWriteThrough(Addr line_addr, WordMask mask,
     ++_writethroughs;
     withLine(line_addr,
              [this, line_addr, mask, data, requestor,
-              ack = std::move(ack)](CacheLine &line) {
+              ack = std::move(ack)](CacheLine &line) mutable {
                  if (_trace) {
                      _trace->record(curTick(),
                                     trace::Phase::L2WriteThrough,
@@ -172,7 +171,7 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
     ++_atomics;
     _energy.atomicAlu();
     withLine(op.addr, [this, op, requestor,
-                       reply = std::move(reply)](CacheLine &line) {
+                       reply = std::move(reply)](CacheLine &line) mutable {
         if (_trace) {
             _trace->record(curTick(), trace::Phase::L2Atomic, _node,
                            op.addr, 0,
@@ -188,7 +187,9 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
         }
         unsigned flits = flitsForWords(1);
         _mesh.send(_node, requestor, flits, TrafficClass::Atomic,
-                   [reply, v = res.returned] { reply(v); });
+                   [reply = std::move(reply), v = res.returned] {
+                       reply(v);
+                   });
     });
 }
 

@@ -12,7 +12,6 @@
 #define COHERENCE_GPU_L2_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "coherence/cache_timings.hh"
@@ -40,7 +39,7 @@ class GpuL2Bank : public L2Controller
 
     /** Data read request: replies with the full line. */
     void handleReadReq(Addr line_addr, NodeId requestor,
-                       std::function<void(const LineData &)> reply);
+                       Callback<void(const LineData &)> reply);
 
     /**
      * Writethrough of the masked words; acks to the requestor once
@@ -66,8 +65,11 @@ class GpuL2Bank : public L2Controller
     checkInvariants(bool quiesced) const override;
 
   private:
+    /** Continuation run on a resident line. */
+    using LineFn = Callback<void(CacheLine &)>;
+
     /** Run @p fn on the (possibly DRAM-fetched) line after timing. */
-    void withLine(Addr line_addr, std::function<void(CacheLine &)> fn);
+    void withLine(Addr line_addr, LineFn fn);
 
     /** Install a line fetched from memory, evicting as needed. */
     CacheLine &installLine(Addr line_addr);
@@ -84,7 +86,7 @@ class GpuL2Bank : public L2Controller
     /** Outstanding DRAM fetches, merged per line. */
     struct FetchEntry
     {
-        std::vector<std::function<void(CacheLine &)>> waiters;
+        std::vector<LineFn> waiters;
     };
     MshrTable<FetchEntry> _fetches;
 
@@ -93,12 +95,9 @@ class GpuL2Bank : public L2Controller
      * arrival order: the protocols rely on per-source FIFO delivery,
      * so the bank must not reorder stalled requests.
      */
-    std::deque<std::pair<Addr, std::function<void(CacheLine &)>>>
-        _stalled;
+    std::deque<std::pair<Addr, LineFn>> _stalled;
 
-    void withLineReady(Addr line_addr,
-                       std::function<void(CacheLine &)> fn,
-                       bool queued = false);
+    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
     void processStalled();
 
     stats::Handle<stats::Scalar> _reads;

@@ -16,14 +16,15 @@
 #ifndef COHERENCE_L1_CONTROLLER_HH
 #define COHERENCE_L1_CONTROLLER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "coherence/protocol.hh"
 #include "coherence/snapshot.hh"
 #include "energy/energy_model.hh"
 #include "sim/sim_object.hh"
+#include "sim/small_fn.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -40,11 +41,23 @@ namespace analysis
 class RaceDetector;
 }
 
+/**
+ * Inline capture capacity of every controller callback: three words,
+ * enough for the TB awaiters' resumptions and most controller
+ * continuations. It keeps a callback at 32 bytes, so the event and
+ * mesh thunks that capture one still fit inline in EventFn/DeliverFn.
+ */
+inline constexpr std::size_t kCallbackBytes = 24;
+
+/** The one callable type of the L1/L2 controller interfaces. */
+template <typename Signature>
+using Callback = SmallFn<Signature, kCallbackBytes>;
+
 /** Callback returning a loaded / atomic-returned value. */
-using ValueCallback = std::function<void(std::uint32_t)>;
+using ValueCallback = Callback<void(std::uint32_t)>;
 
 /** Completion callback. */
-using DoneCallback = std::function<void()>;
+using DoneCallback = Callback<void()>;
 
 /** Statistics common to every L1 controller flavour. */
 struct L1Stats

@@ -137,13 +137,40 @@ class TbContext
 
     // Wait-state tracking (hang diagnostics) --------------------------
 
-    /** Record what this TB's coroutine is suspended on. */
-    void
-    beginWait(std::string what)
+    /** Awaiter kinds a TB can be suspended on. */
+    enum class WaitKind : std::uint8_t
     {
-        _waitWhat = std::move(what);
+        Load,
+        LoadMany,
+        Store,
+        StoreMany,
+        Delay,
+        Atomic,
+    };
+
+    /**
+     * Record what this TB's coroutine is suspended on. Awaiters store
+     * raw fields only; waitSummary() renders the text on demand, so
+     * the per-operation path does no formatting. @p count is the
+     * batch size (LoadMany/StoreMany) or the cycles (Delay).
+     */
+    void
+    beginWait(WaitKind kind, Addr addr, std::uint64_t count = 0)
+    {
+        _wait.kind = kind;
+        _wait.addr = addr;
+        _wait.count = count;
         _waitSince = _eq.now();
         _waiting = true;
+    }
+
+    /** Record a suspension on synchronization access @p op. */
+    void
+    beginWait(const SyncOp &op)
+    {
+        beginWait(WaitKind::Atomic, op.addr);
+        _wait.func = op.func;
+        _wait.scope = op.scope;
     }
 
     /** Clear the wait record just before the coroutine resumes. */
@@ -167,8 +194,8 @@ class TbContext
         else if (!_waiting)
             os << "runnable (between awaits)";
         else
-            os << "awaiting " << _waitWhat << " since tick "
-               << _waitSince;
+            describeWait(os << "awaiting ") << " since tick "
+                                            << _waitSince;
         return os.str();
     }
 
@@ -232,7 +259,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("load " + describeAddr(addr));
+                ctx->beginWait(WaitKind::Load, addr);
                 ctx->issueOp(addr, TbOpKind::Load, [this, h] {
                     ctx->noteDataRead(addr);
                     txn = ctx->beginTxn(trace::TxnClass::Load, addr);
@@ -267,9 +294,8 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(
-                    "loadMany of " + std::to_string(addrs.size()) +
-                    " words at " + describeAddr(addrs.front()));
+                ctx->beginWait(WaitKind::LoadMany, addrs.front(),
+                               addrs.size());
                 // The whole coalesced batch issues as one scheduled
                 // quantum: a warp's loads are not interleavable.
                 ctx->issueOp(addrs.front(), TbOpKind::Load, [this, h] {
@@ -321,9 +347,8 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(
-                    "storeMany of " + std::to_string(stores.size()) +
-                    " words at " + describeAddr(stores.front().first));
+                ctx->beginWait(WaitKind::StoreMany,
+                               stores.front().first, stores.size());
                 ctx->issueOp(stores.front().first, TbOpKind::Store,
                              [this, h] {
                     for (const auto &st : stores)
@@ -364,7 +389,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("store " + describeAddr(addr));
+                ctx->beginWait(WaitKind::Store, addr);
                 ctx->issueOp(addr, TbOpKind::Store, [this, h] {
                     ctx->noteDataWrite(addr);
                     txn = ctx->beginTxn(trace::TxnClass::Store, addr);
@@ -400,7 +425,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(describeSync(op));
+                ctx->beginWait(op);
                 ctx->issueOp(op.addr, syncOpKind(op), [this, h] {
                     if (ctx->_trace) {
                         txn = ctx->beginTxn(syncClass(op), op.addr);
@@ -439,8 +464,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("delay of " + std::to_string(cycles) +
-                               " cycles");
+                ctx->beginWait(WaitKind::Delay, 0, cycles);
                 ctx->_eq.scheduleIn(cycles,
                                     [c = ctx, h] {
                                         c->endWait();
@@ -530,34 +554,67 @@ class TbContext
     }
 
   private:
-    static std::string
-    describeAddr(Addr addr)
+    /** What a suspended TB waits on (fields per WaitKind). */
+    struct WaitState
     {
-        std::ostringstream os;
-        os << "0x" << std::hex << addr;
-        return os.str();
+        Addr addr = 0;
+        /** Batch size (LoadMany/StoreMany) or cycles (Delay). */
+        std::uint64_t count = 0;
+        WaitKind kind = WaitKind::Load;
+        /** Atomic only. */
+        AtomicFunc func = AtomicFunc::Load;
+        Scope scope = Scope::Global;
+    };
+    static_assert(sizeof(WaitState) <= sizeof(std::string),
+                  "the wait record must stay no larger than a "
+                  "std::string");
+
+    /** Render the current wait record (the text after "awaiting"). */
+    std::ostream &
+    describeWait(std::ostream &os) const
+    {
+        switch (_wait.kind) {
+          case WaitKind::Load:
+            os << "load ";
+            break;
+          case WaitKind::Store:
+            os << "store ";
+            break;
+          case WaitKind::LoadMany:
+            os << "loadMany of " << _wait.count << " words at ";
+            break;
+          case WaitKind::StoreMany:
+            os << "storeMany of " << _wait.count << " words at ";
+            break;
+          case WaitKind::Delay:
+            return os << "delay of " << _wait.count << " cycles";
+          case WaitKind::Atomic:
+            os << atomicFuncName(_wait.func) << " ";
+            break;
+        }
+        os << "0x" << std::hex << _wait.addr << std::dec;
+        if (_wait.kind == WaitKind::Atomic) {
+            const char *scope = "global";
+            if (_wait.scope == Scope::Local)
+                scope = "local";
+            else if (_wait.scope == Scope::Device)
+                scope = "device";
+            os << " (" << scope << " scope)";
+        }
+        return os;
     }
 
-    static std::string
-    describeSync(const SyncOp &op)
+    static const char *
+    atomicFuncName(AtomicFunc func)
     {
-        const char *func = "?";
-        switch (op.func) {
-          case AtomicFunc::Load: func = "atomic-load"; break;
-          case AtomicFunc::Store: func = "atomic-store"; break;
-          case AtomicFunc::FetchAdd: func = "fetch-add"; break;
-          case AtomicFunc::Exchange: func = "exchange"; break;
-          case AtomicFunc::CompareSwap: func = "compare-swap"; break;
+        switch (func) {
+          case AtomicFunc::Load: return "atomic-load";
+          case AtomicFunc::Store: return "atomic-store";
+          case AtomicFunc::FetchAdd: return "fetch-add";
+          case AtomicFunc::Exchange: return "exchange";
+          case AtomicFunc::CompareSwap: return "compare-swap";
         }
-        const char *scope = "global";
-        if (op.scope == Scope::Local)
-            scope = "local";
-        else if (op.scope == Scope::Device)
-            scope = "device";
-        std::ostringstream os;
-        os << func << " " << describeAddr(op.addr) << " (" << scope
-           << " scope)";
-        return os.str();
+        return "?";
     }
 
     EventQueue &_eq;
@@ -580,7 +637,7 @@ class TbContext
     TbScheduler *_sched = nullptr;
 
     // Wait-state tracking for hang diagnostics.
-    std::string _waitWhat;
+    WaitState _wait;
     Tick _waitSince = 0;
     bool _waiting = false;
     bool _done = false;

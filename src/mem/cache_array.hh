@@ -123,19 +123,29 @@ class CacheArray
      */
     CacheArray(std::size_t size_bytes, unsigned assoc)
         : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
-          _lines(_numSets * assoc)
+          _lines(_numSets * assoc, clearedLine())
     {
         panic_if(_numSets == 0, "cache too small: ", size_bytes, " B / ",
                  assoc, "-way");
         panic_if((_numSets & (_numSets - 1)) != 0,
                  "number of sets must be a power of two, got ",
                  _numSets);
-        for (auto &line : _lines)
-            line.clear();
     }
 
     unsigned assoc() const { return _assoc; }
     std::size_t numSets() const { return _numSets; }
+
+    /** Number of frames; frame indices follow array order. */
+    std::size_t numFrames() const { return _lines.size(); }
+
+    /** Array-order index of @p line, a frame of this array. */
+    std::size_t
+    frameIndex(const CacheLine &line) const
+    {
+        return static_cast<std::size_t>(&line - _lines.data());
+    }
+
+    CacheLine &frame(std::size_t index) { return _lines[index]; }
 
     /** Find the frame holding @p line_addr, or nullptr. */
     CacheLine *
@@ -240,6 +250,15 @@ class CacheArray
     }
 
   private:
+    /** The empty frame every slot starts as (one write per frame). */
+    static CacheLine
+    clearedLine()
+    {
+        CacheLine line;
+        line.clear();
+        return line;
+    }
+
     CacheLine *
     setBase(Addr line_addr)
     {

@@ -56,7 +56,7 @@ class TraceSink;
  * replies (a 64-byte LineData plus a reply functor) — stays in the
  * inline buffer and never touches the heap.
  */
-using DeliverFn = SmallFn<112>;
+using DeliverFn = SmallFn<void(), 112>;
 
 /** A message injected but not yet delivered (diagnostics). */
 struct InFlightMsg

@@ -37,7 +37,7 @@ enum class EventPriority : int
  * on the schedule/execute hot path; larger captures spill to the
  * heap transparently.
  */
-using EventFn = SmallFn<56>;
+using EventFn = SmallFn<void(), 56>;
 
 /**
  * A single-owner discrete-event queue.

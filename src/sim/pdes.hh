@@ -52,7 +52,7 @@ namespace nosync
 {
 
 /** Callback deposited for the coordinator to run at a barrier. */
-using NotifyFn = SmallFn<56>;
+using NotifyFn = SmallFn<void(), 56>;
 
 /** Sharded window-synchronized event engine for one System. */
 class PdesEngine
@@ -126,7 +126,7 @@ class PdesEngine
         unsigned cls = 0;
         Tick sent = 0;
         bool idempotent = false;
-        SmallFn<112> deliver;
+        SmallFn<void(), 112> deliver;
     };
 
     /**

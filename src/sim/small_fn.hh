@@ -2,18 +2,20 @@
  * @file
  * Small-buffer-optimized callable for the simulator's hot paths.
  *
- * Every simulated event and every mesh delivery used to carry a
- * std::function<void()>, whose ~16-byte inline buffer (libstdc++)
- * forces a heap allocation for nearly every capture list in the
- * codebase, plus another on each copy out of the event heap. SmallFn
- * stores callables up to Capacity bytes in-place and only falls back
- * to the heap beyond that, so the discrete-event core runs
- * allocation-free for ordinary protocol callbacks.
+ * Every simulated event, mesh delivery and controller callback used
+ * to carry a std::function, whose 16-byte inline buffer (libstdc++)
+ * holds only trivially copyable captures and so forces a heap
+ * allocation for nearly every capture list in the codebase, plus
+ * another on each copy. SmallFn<R(Args...), Capacity> stores
+ * callables up to Capacity bytes in-place and only falls back to the
+ * heap beyond that, so the discrete-event core and the protocol
+ * controllers run allocation-free for ordinary callbacks.
  *
- * Semantics: type-erased void() callable, movable and copyable
+ * Semantics: type-erased R(Args...) callable, movable and copyable
  * (copying panics at runtime if the stored callable is not
  * copy-constructible — the mesh needs copies only for duplicated
- * idempotent messages, whose closures are all copyable).
+ * idempotent messages, whose closures are all copyable). Like
+ * std::function, a const SmallFn invokes its callable as non-const.
  */
 
 #ifndef SIM_SMALL_FN_HH
@@ -30,8 +32,11 @@
 namespace nosync
 {
 
-template <std::size_t Capacity>
-class SmallFn
+template <typename Signature, std::size_t Capacity>
+class SmallFn;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class SmallFn<R(Args...), Capacity>
 {
   public:
     SmallFn() = default;
@@ -40,7 +45,7 @@ class SmallFn
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     SmallFn(F &&f)
     {
         using Fn = std::decay_t<F>;
@@ -90,11 +95,11 @@ class SmallFn
 
     ~SmallFn() { reset(); }
 
-    void
-    operator()()
+    R
+    operator()(Args... args) const
     {
         panic_if(!_ops, "invoking an empty SmallFn");
-        _ops->invoke(_storage);
+        return _ops->invoke(_storage, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const { return _ops != nullptr; }
@@ -111,7 +116,7 @@ class SmallFn
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args...);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *src, void *dst);
         /** Copy-construct dst from src; null if not copyable. */
@@ -121,7 +126,12 @@ class SmallFn
         bool trivialRelocate;
     };
 
-    static constexpr std::size_t kAlign = alignof(std::max_align_t);
+    /**
+     * Pointer alignment, as std::function's buffer: a SmallFn then
+     * adds no padding to the closures that capture one. Over-aligned
+     * callables take the heap path.
+     */
+    static constexpr std::size_t kAlign = alignof(void *);
 
     template <typename Fn>
     static constexpr bool
@@ -146,7 +156,10 @@ class SmallFn
 
     template <typename Fn>
     static constexpr Ops inlineOps = {
-        [](void *s) { (*std::launder(reinterpret_cast<Fn *>(s)))(); },
+        [](void *s, Args... args) -> R {
+            return (*std::launder(reinterpret_cast<Fn *>(s)))(
+                std::forward<Args>(args)...);
+        },
         [](void *src, void *dst) {
             Fn *f = std::launder(reinterpret_cast<Fn *>(src));
             new (dst) Fn(std::move(*f));
@@ -171,7 +184,10 @@ class SmallFn
 
     template <typename Fn>
     static constexpr Ops heapOps = {
-        [](void *s) { (**reinterpret_cast<Fn **>(s))(); },
+        [](void *s, Args... args) -> R {
+            return (**reinterpret_cast<Fn **>(s))(
+                std::forward<Args>(args)...);
+        },
         [](void *src, void *dst) {
             *reinterpret_cast<Fn **>(dst) =
                 *reinterpret_cast<Fn **>(src);
@@ -190,7 +206,8 @@ class SmallFn
         true, // relocating a heap callable just moves its pointer
     };
 
-    alignas(kAlign) unsigned char _storage[Capacity];
+    /** Mutable: a const SmallFn still invokes as non-const. */
+    alignas(kAlign) mutable unsigned char _storage[Capacity];
     const Ops *_ops = nullptr;
 };
 

@@ -7,6 +7,8 @@
  * ProtocolChecker actually catches corrupted protocol state.
  */
 
+#include <regex>
+
 #include <gtest/gtest.h>
 
 #include "core/protocol_checker.hh"
@@ -161,6 +163,19 @@ TEST(ChaosHang, WatchdogProducesStructuredReport)
     EXPECT_EQ(result.hang->faultSeed, 42u);
     EXPECT_FALSE(result.hang->tbWaits.empty())
         << "incomplete thread blocks should report wait states";
+    // Every line has the exact wait-state shape (GpuWaitState pins
+    // the text per awaiter kind).
+    const std::regex wait_line(
+        "kernel \\d+ tb \\d+ \\(cu \\d+\\): "
+        "(runnable \\(between awaits\\)|awaiting "
+        "(load 0x[0-9a-f]+|store 0x[0-9a-f]+|"
+        "(loadMany|storeMany) of \\d+ words at 0x[0-9a-f]+|"
+        "delay of \\d+ cycles|"
+        "(atomic-load|atomic-store|fetch-add|exchange|compare-swap) "
+        "0x[0-9a-f]+ \\((local|device|global) scope\\)) "
+        "since tick \\d+)");
+    for (const auto &line : result.hang->tbWaits)
+        EXPECT_TRUE(std::regex_match(line, wait_line)) << line;
 
     std::string rendered = renderHangReport(*result.hang);
     EXPECT_NE(rendered.find("HANG REPORT"), std::string::npos);

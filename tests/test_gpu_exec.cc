@@ -2,11 +2,13 @@
  * @file
  * Tests for the GPU execution layer: coroutine awaiters (load,
  * loadMany, storeMany, atomic, wait, scratch), sub-task composition,
- * kernel sequencing, and TB-to-CU assignment.
+ * kernel sequencing, TB-to-CU assignment, and the exact wait-state
+ * text hang reports print for every awaiter kind.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/report.hh"
 #include "test_util.hh"
 #include "workloads/registry.hh"
 
@@ -230,4 +232,251 @@ TEST(GpuExec, KernelLaunchLatencyDelaysStart)
     System system(config);
     ASSERT_TRUE(system.run(wl).ok());
     EXPECT_GE(wl.seen[0], 777u);
+}
+
+// ---------------------------------------------------------------------
+// Wait-state text (hang diagnostics)
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * L1 stand-in that parks every callback until release(), so a TB's
+ * coroutine stays suspended on exactly the awaiter under test.
+ */
+class ParkingL1 : public L1Controller
+{
+  public:
+    ParkingL1(EventQueue &eq, stats::StatSet &stats,
+              EnergyModel &energy)
+        : L1Controller("parking_l1", eq, stats, energy, 0,
+                       ProtocolConfig::gd())
+    {}
+
+    ControllerSnapshot snapshot() const override { return {}; }
+
+    std::vector<std::string>
+    checkInvariants(bool) const override
+    {
+        return {};
+    }
+
+    void
+    load(Addr, ValueCallback cb) override
+    {
+        _values.push_back(std::move(cb));
+    }
+
+    void
+    store(Addr, std::uint32_t, DoneCallback cb) override
+    {
+        _dones.push_back(std::move(cb));
+    }
+
+    void
+    sync(const SyncOp &, ValueCallback cb) override
+    {
+        _values.push_back(std::move(cb));
+    }
+
+    void kernelBegin() override {}
+    void kernelEnd(DoneCallback cb) override { cb(); }
+    void drainWrites(Scope, DoneCallback cb) override { cb(); }
+
+    /** Complete every parked access (lets the coroutine finish). */
+    void
+    release()
+    {
+        auto values = std::move(_values);
+        auto dones = std::move(_dones);
+        _values.clear();
+        _dones.clear();
+        for (auto &cb : values)
+            cb(0);
+        for (auto &cb : dones)
+            cb();
+    }
+
+  private:
+    std::vector<ValueCallback> _values;
+    std::vector<DoneCallback> _dones;
+};
+
+/** One TB context on a ParkingL1, for driving awaiters directly. */
+struct WaitHarness
+{
+    EventQueue eq;
+    stats::StatSet stats;
+    EnergyModel energy{stats, EnergyParams{}};
+    ParkingL1 l1{eq, stats, energy};
+    TbContext ctx{eq, l1, energy, Rng(1), /*kernel=*/2,
+                  /*tb_global=*/7, /*cu=*/3, /*tb_on_cu=*/1,
+                  /*num_cus=*/4, /*tbs_per_cu=*/2};
+    bool finished = false;
+
+    SimTask task;
+
+    /**
+     * Start @p t at tick @p at (so the recorded wait tick is not
+     * trivially 0) and run the queue until the TB parks.
+     */
+    void
+    startAt(Tick at, SimTask t)
+    {
+        task = std::move(t);
+        eq.schedule(at, [this] {
+            task.start([this] {
+                ctx.markDone();
+                finished = true;
+            });
+        });
+        eq.run();
+    }
+};
+
+const char *const kPrefix = "kernel 2 tb 7 (cu 3): ";
+
+} // namespace
+
+TEST(GpuWaitState, FreshContextIsRunnable)
+{
+    WaitHarness h;
+    EXPECT_EQ(h.ctx.waitSummary(),
+              std::string(kPrefix) + "runnable (between awaits)");
+}
+
+TEST(GpuWaitState, LoadText)
+{
+    WaitHarness h;
+    h.startAt(40, [](TbContext &ctx) -> SimTask {
+        co_await ctx.load(0x1a40);
+    }(h.ctx));
+    EXPECT_TRUE(h.ctx.waiting());
+    EXPECT_EQ(h.ctx.waitSummary(),
+              std::string(kPrefix) + "awaiting load 0x1a40 since tick 40");
+    h.l1.release();
+    EXPECT_TRUE(h.finished);
+    EXPECT_EQ(h.ctx.waitSummary(), std::string(kPrefix) + "completed");
+}
+
+TEST(GpuWaitState, LoadManyText)
+{
+    WaitHarness h;
+    h.startAt(12, [](TbContext &ctx) -> SimTask {
+        std::vector<Addr> addrs{0xbeef00, 0xbeef04, 0xbeef08};
+        co_await ctx.loadMany(std::move(addrs));
+    }(h.ctx));
+    EXPECT_EQ(h.ctx.waitSummary(),
+              std::string(kPrefix) +
+                  "awaiting loadMany of 3 words at 0xbeef00 since tick "
+                  "12");
+    h.l1.release();
+    EXPECT_TRUE(h.finished);
+}
+
+TEST(GpuWaitState, StoreText)
+{
+    WaitHarness h;
+    h.startAt(5, [](TbContext &ctx) -> SimTask {
+        co_await ctx.store(0x80, 9);
+    }(h.ctx));
+    EXPECT_EQ(h.ctx.waitSummary(),
+              std::string(kPrefix) + "awaiting store 0x80 since tick 5");
+    h.l1.release();
+    EXPECT_TRUE(h.finished);
+}
+
+TEST(GpuWaitState, StoreManyText)
+{
+    WaitHarness h;
+    h.startAt(1234567, [](TbContext &ctx) -> SimTask {
+        std::vector<std::pair<Addr, std::uint32_t>> stores{
+            {0x10000, 1}, {0x10004, 2}};
+        co_await ctx.storeMany(std::move(stores));
+    }(h.ctx));
+    EXPECT_EQ(h.ctx.waitSummary(),
+              std::string(kPrefix) +
+                  "awaiting storeMany of 2 words at 0x10000 since tick "
+                  "1234567");
+    h.l1.release();
+    EXPECT_TRUE(h.finished);
+}
+
+TEST(GpuWaitState, DelayText)
+{
+    WaitHarness h;
+    bool checked = false;
+    h.startAt(3, [](TbContext &ctx, bool *seen) -> SimTask {
+        // Check from inside the queue: run() fires the delay.
+        ctx.l1().eventQueue().schedule(ctx.now() + 1, [seen, &ctx] {
+            EXPECT_EQ(ctx.waitSummary(),
+                      std::string(kPrefix) +
+                          "awaiting delay of 250 cycles since tick 3");
+            *seen = true;
+        });
+        co_await ctx.wait(250);
+    }(h.ctx, &checked));
+    EXPECT_TRUE(checked);
+    EXPECT_TRUE(h.finished);
+    EXPECT_EQ(h.eq.now(), 253u);
+}
+
+TEST(GpuWaitState, AtomicTextForEveryFunctionAndScope)
+{
+    struct Func
+    {
+        AtomicFunc func;
+        const char *name;
+    };
+    const Func funcs[] = {
+        {AtomicFunc::Load, "atomic-load"},
+        {AtomicFunc::Store, "atomic-store"},
+        {AtomicFunc::FetchAdd, "fetch-add"},
+        {AtomicFunc::Exchange, "exchange"},
+        {AtomicFunc::CompareSwap, "compare-swap"},
+    };
+    struct ScopeName
+    {
+        Scope scope;
+        const char *name;
+    };
+    const ScopeName scopes[] = {
+        {Scope::Local, "local"},
+        {Scope::Device, "device"},
+        {Scope::Global, "global"},
+    };
+    for (const Func &f : funcs) {
+        for (const ScopeName &s : scopes) {
+            WaitHarness h;
+            SyncOp op = makeSync(f.func, 0xc0ffee4, 1, 0, s.scope);
+            h.startAt(77, [](TbContext &ctx, SyncOp o) -> SimTask {
+                co_await ctx.atomic(o);
+            }(h.ctx, op));
+            EXPECT_EQ(h.ctx.waitSummary(),
+                      std::string(kPrefix) + "awaiting " + f.name +
+                          " 0xc0ffee4 (" + s.name +
+                          " scope) since tick 77");
+            h.l1.release();
+            EXPECT_TRUE(h.finished);
+        }
+    }
+}
+
+TEST(GpuWaitState, HangReportListsWaitText)
+{
+    WaitHarness h;
+    h.startAt(9, [](TbContext &ctx) -> SimTask {
+        co_await ctx.load(0x40);
+    }(h.ctx));
+    HangReport report;
+    report.tbWaits.push_back(h.ctx.waitSummary());
+    std::string rendered = renderHangReport(report);
+    EXPECT_NE(rendered.find("-- thread blocks (1 incomplete) --\n"
+                            "  kernel 2 tb 7 (cu 3): awaiting load 0x40 "
+                            "since tick 9\n"),
+              std::string::npos)
+        << rendered;
+    h.l1.release();
+    EXPECT_TRUE(h.finished);
 }

@@ -240,3 +240,114 @@ TEST(GpuProtocol, CompareSwapMutualExclusionAtL2)
     EXPECT_EQ(a, 0u); // first wins
     EXPECT_EQ(b, 1u); // second observes the lock taken
 }
+
+// ---------------------------------------------------------------------
+// Release drain: the dirty-frame index must reproduce a full walk
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+using Groups = std::vector<std::pair<Addr, WordMask>>;
+
+/** (line, mask) of every L1 writethrough CU 0 sends during @p op. */
+template <typename Op>
+Groups
+writeThroughsDuring(System &sys, Op op)
+{
+    trace::TraceSink &sink = *sys.trace();
+    std::size_t mark = sink.size();
+    op();
+    Groups out;
+    for (std::size_t i = mark; i < sink.size(); ++i) {
+        const trace::TraceEvent &ev = sink.event(i);
+        if (ev.phase == trace::Phase::L1WriteThrough &&
+            ev.node == static_cast<std::int32_t>(sys.l1(0).node())) {
+            out.emplace_back(ev.addr, static_cast<WordMask>(ev.aux));
+        }
+    }
+    return out;
+}
+
+SystemConfig
+traced(SystemConfig config)
+{
+    config.observability.traceEnabled = true;
+    return config;
+}
+
+SyncOp
+globalRelease()
+{
+    return makeSync(AtomicFunc::Store, kFlag, 1, 0, Scope::Global,
+                    SyncSemantics::Release);
+}
+
+} // namespace
+
+TEST(GpuProtocol, HrfReleaseDrainMatchesFullArrayWalk)
+{
+    System sys(traced(ghConfig()));
+    auto &l1 = *as<GpuL1Cache>(sys.l1(0));
+    const std::size_t sets = sys.config().geometry.l1Bytes /
+                             kLineBytes / sys.config().geometry.l1Assoc;
+    const Addr set_stride = sets * kLineBytes;
+    auto line_in_set = [&](unsigned set, unsigned tag) {
+        return kData + set * kLineBytes + tag * set_stride;
+    };
+
+    // Dirty frames in an order unlike array order (sets 10, 3, 7).
+    // Set 10's frame is dirtied by a local atomic, then by a store.
+    doSync(sys, 0,
+           makeSync(AtomicFunc::FetchAdd, line_in_set(10, 0) + 4, 1, 0,
+                    Scope::Local));
+    doStore(sys, 0, line_in_set(10, 0), 1);
+    doStore(sys, 0, line_in_set(3, 0) + 8, 2);
+    doStore(sys, 0, line_in_set(7, 0), 3);
+
+    // Set 5: dirty a frame, evict it (flushing it) with a full way's
+    // worth of newer dirty lines, then reinstall and re-dirty it.
+    doStore(sys, 0, line_in_set(5, 0), 4);
+    for (unsigned tag = 1; tag <= sys.config().geometry.l1Assoc; ++tag)
+        doStore(sys, 0, line_in_set(5, tag), 5 + tag);
+    doStore(sys, 0, line_in_set(5, 0) + 12, 20);
+    drainEvents(sys);
+
+    ASSERT_EQ(l1.storeBufferSize(), 0u) << "GH stores bypass the SB";
+    EXPECT_TRUE(l1.checkInvariants(false).empty());
+    Groups expected = l1.dirtyLines();
+    ASSERT_EQ(expected.size(), 3u + sys.config().geometry.l1Assoc);
+    Groups sent = writeThroughsDuring(
+        sys, [&] { doSync(sys, 0, globalRelease()); });
+    EXPECT_EQ(sent, expected);
+    EXPECT_TRUE(l1.dirtyLines().empty());
+
+    // A second release sees only what was dirtied since the first.
+    doStore(sys, 0, line_in_set(7, 0) + 4, 30);
+    doStore(sys, 0, line_in_set(3, 0), 31);
+    expected = l1.dirtyLines();
+    ASSERT_EQ(expected.size(), 2u);
+    sent = writeThroughsDuring(
+        sys, [&] { doSync(sys, 0, globalRelease()); });
+    EXPECT_EQ(sent, expected);
+
+    // And a release with nothing dirty sends nothing.
+    sent = writeThroughsDuring(
+        sys, [&] { doSync(sys, 0, globalRelease()); });
+    EXPECT_TRUE(sent.empty());
+    EXPECT_TRUE(l1.checkInvariants(false).empty());
+}
+
+TEST(GpuProtocol, GdReleaseWithNothingDirtyDrainsOnlyTheStoreBuffer)
+{
+    System sys(traced(gdConfig()));
+    auto &l1 = *as<GpuL1Cache>(sys.l1(0));
+    for (unsigned i = 0; i < 4; ++i)
+        doLoad(sys, 0, kData + i * kLineBytes);
+    doStore(sys, 0, kData + 4, 9);
+    EXPECT_TRUE(l1.dirtyLines().empty()) << "GD never dirties the L1";
+    Groups sent = writeThroughsDuring(
+        sys, [&] { doSync(sys, 0, globalRelease()); });
+    EXPECT_EQ(sent, (Groups{{kData, WordMask{1u << 1}}}));
+    EXPECT_EQ(sys.debugRead(kData + 4), 9u);
+}
