@@ -14,6 +14,7 @@
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/pdes.hh"
+#include "sim/rng.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -31,6 +32,58 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/**
+ * Hold model: a steady ~128 pending events, each rescheduling itself
+ * on execution with a delta drawn from the simulator's mix (mostly
+ * within 64 cycles, a tail out to 4,096) at one of two priorities.
+ * One iteration is one executed event.
+ */
+static void
+BM_EventQueueHold(benchmark::State &state)
+{
+    struct Ctx
+    {
+        EventQueue eq;
+        std::vector<Cycles> deltas;
+        std::size_t cursor = 0;
+        std::uint64_t fired = 0;
+    };
+    struct Hold
+    {
+        Ctx *ctx;
+        EventPriority prio;
+
+        void
+        operator()() const
+        {
+            ++ctx->fired;
+            const Cycles d =
+                ctx->deltas[ctx->cursor++ % ctx->deltas.size()];
+            ctx->eq.scheduleIn(d, *this, prio);
+        }
+    };
+
+    Ctx ctx;
+    Rng rng(13);
+    ctx.deltas.resize(4096);
+    for (Cycles &d : ctx.deltas) {
+        const std::uint64_t r = rng.below(1000);
+        d = r < 850   ? rng.below(65)
+            : r < 990 ? rng.range(65, 256)
+                      : rng.range(257, 4096);
+    }
+    for (unsigned i = 0; i < 128; ++i) {
+        const auto prio = i % 2 ? EventPriority::Default
+                                : EventPriority::NetworkDelivery;
+        ctx.eq.schedule(ctx.deltas[i], Hold{&ctx, prio}, prio);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ctx.eq.step());
+    benchmark::DoNotOptimize(ctx.fired);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHold);
 
 static void
 BM_CacheArrayLookup(benchmark::State &state)

@@ -34,8 +34,10 @@ struct FenceActions
  *
  * Mirrors Section 3: GPU coherence performs global sync at the L2
  * with full flash invalidations and drains; local (HRF) sync skips all
- * three. DeNovo always executes sync at the L1 (after registration)
- * and selectively invalidates only unowned words.
+ * three. DeNovo executes sync at the L1 (after registration) and
+ * selectively invalidates only unowned words, except under the sync
+ * engine (DD+SE), which performs every non-local sync at the home L2
+ * bank.
  */
 inline FenceActions
 fenceActionsFor(const SyncOp &op, const ProtocolConfig &config)
@@ -46,7 +48,8 @@ fenceActionsFor(const SyncOp &op, const ProtocolConfig &config)
     actions.drainBefore = op.isRelease() && !local;
     actions.invalidateAfter = op.isAcquire() && !local;
     actions.mayExecuteLocally =
-        local || config.protocol == CoherenceProtocol::Denovo;
+        local || (config.protocol == CoherenceProtocol::Denovo &&
+                  !config.syncEngine);
     return actions;
 }
 

@@ -314,9 +314,10 @@ System::run(Workload &workload)
         };
         _engine->run(_config.execution.maxCycles, hooks);
     } else {
-        while (!done && !_eq.empty() &&
-               _eq.now() < _config.execution.maxCycles) {
-            _eq.step();
+        // Same budget rule as EventQueue::run: an event past
+        // maxCycles never executes.
+        const Tick budget = _config.execution.maxCycles;
+        while (!done && _eq.step(budget)) {
             if (next_sweep && _eq.now() >= next_sweep) {
                 sweep_violations = checker.sweepRacy();
                 if (!sweep_violations.empty())
@@ -329,7 +330,9 @@ System::run(Workload &workload)
             // Quiesce: in-flight protocol traffic (e.g. eviction
             // writebacks racing the final drain) must land before the
             // hierarchy is inspected for results.
-            _eq.run(_config.execution.maxCycles);
+            _eq.run(budget);
+        } else if (sweep_violations.empty() && !_eq.empty()) {
+            _eq.advanceTo(budget); // the hang report's tick
         }
     }
 

@@ -11,7 +11,9 @@
 #ifndef SIM_EVENT_QUEUE_HH
 #define SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -46,17 +48,25 @@ using EventFn = SmallFn<void(), 56>;
  * whatever request state they need. The queue never runs callbacks
  * re-entrantly: schedule() during a callback enqueues for later.
  *
- * Storage is split for speed: the binary heap orders small POD
- * entries (tick, packed priority+sequence, slot index) while the
- * callback itself sits in a slab-recycled slot that never moves
- * during heap sifts. Together with SmallFn's inline capture buffer,
- * scheduling and executing an ordinary event touches no allocator
- * once the slab is warm.
+ * Events run in (tick, priority, schedule order). The queue is a
+ * calendar queue (timing wheel): an event less than kHorizon ticks
+ * ahead of now() joins one intrusive FIFO per (tick mod kHorizon,
+ * priority), and a two-level occupancy bitmap finds the earliest
+ * non-empty FIFO with two count-trailing-zeros. Events further ahead
+ * wait in a small overflow min-heap and move into the wheel as soon
+ * as now() comes within the horizon of their tick, before anything
+ * else can be scheduled for that tick, so FIFO order is kept (see
+ * DESIGN.md "Event-core storage").
+ *
+ * Callbacks live in fixed-size chunks that never move, linked into
+ * the FIFOs by slot index, so a callback runs in place and its slot
+ * is recycled only after it returns. Scheduling and executing an
+ * ordinary event touches no allocator once the chunks are warm.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -73,23 +83,13 @@ class EventQueue
     {
         panic_if(when < _now, "scheduling event in the past (", when,
                  " < ", _now, ")");
-        std::uint32_t slot;
-        if (_freeSlots.empty()) {
-            slot = static_cast<std::uint32_t>(_fnSlots.size());
-            _fnSlots.push_back(std::move(fn));
-        } else {
-            slot = _freeSlots.back();
-            _freeSlots.pop_back();
-            _fnSlots[slot] = std::move(fn);
-        }
-        // Same-tick order: priority first, then FIFO. Both fold into
-        // one 64-bit key (priority in the top bits, a monotonic
-        // sequence below), so the heap comparator is two compares.
-        _events.push(HeapEntry{
-            when,
-            (static_cast<std::uint64_t>(prio) << kSeqBits) |
-                _nextSeq++,
-            slot});
+        const std::uint32_t idx = allocSlot();
+        slot(idx).fn = std::move(fn);
+        ++_pending;
+        if (when - _now < kHorizon)
+            append(when, static_cast<unsigned>(prio), idx);
+        else
+            park(when, prio, idx);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -101,17 +101,13 @@ class EventQueue
     }
 
     /** Whether any events remain. */
-    bool empty() const { return _events.empty(); }
+    bool empty() const { return _pending == 0; }
 
     /** Tick of the earliest pending event; ~Tick{0} when empty. */
-    Tick
-    nextEventTick() const
-    {
-        return _events.empty() ? ~Tick{0} : _events.top().when;
-    }
+    Tick nextEventTick() const;
 
     /** Number of pending events. */
-    std::size_t pending() const { return _events.size(); }
+    std::size_t pending() const { return _pending; }
 
     /**
      * Run events until the queue drains or @p limit ticks elapse.
@@ -128,32 +124,69 @@ class EventQueue
      */
     void runUntil(Tick end);
 
-    /** Advance the clock to @p t if it is behind (never rewinds). */
-    void
-    advanceTo(Tick t)
-    {
-        if (t > _now)
-            _now = t;
-    }
+    /**
+     * Advance the clock to @p t if it is behind (never rewinds).
+     * @pre t <= nextEventTick(): no pending event is skipped.
+     */
+    void advanceTo(Tick t);
 
-    /** Execute at most one event. @return false if queue was empty. */
-    bool step();
+    /**
+     * Execute the earliest event if its tick is <= @p limit.
+     * @return false if no event ran.
+     */
+    bool step(Tick limit = ~Tick{0}) { return runNext(limit); }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
 
+    /**
+     * Wheel span in ticks: an event less than this far ahead of now()
+     * goes straight into the wheel, a later one waits in the overflow
+     * heap. Simulated hops (mesh links, cache and DRAM latencies, TB
+     * issue) are almost all well under it. With four priorities the
+     * wheel has 64 x 64 FIFOs: one bitmap word per 16 ticks and one
+     * summary word over the whole wheel.
+     */
+    static constexpr Tick kHorizon = 1024;
+
   private:
-    /** Bits of the order key reserved for the FIFO sequence. */
+    static constexpr unsigned kPriorities = 4;
+    static_assert(static_cast<unsigned>(EventPriority::Stats) + 1 ==
+                  kPriorities);
+    static constexpr unsigned kFifos = kHorizon * kPriorities;
+    static constexpr unsigned kWords = kFifos / 64;
+    static_assert(kWords == 64, "one summary word covers the bitmap");
+
+    /** Bits of the overflow order key reserved for the sequence. */
     static constexpr unsigned kSeqBits = 56;
 
-    struct HeapEntry
+    static constexpr unsigned kChunkShift = 6;
+    static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    struct Slot
+    {
+        EventFn fn;
+        /** Next slot in this slot's FIFO, or in the free list. */
+        std::uint32_t next;
+    };
+
+    /** Head and tail slot of one FIFO; valid only while its bit is
+     *  set in the bitmap. */
+    struct Fifo
+    {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
+
+    struct OverflowEntry
     {
         Tick when;
         std::uint64_t key; ///< (priority << kSeqBits) | sequence
         std::uint32_t slot;
 
         bool
-        operator>(const HeapEntry &other) const
+        operator>(const OverflowEntry &other) const
         {
             if (when != other.when)
                 return when > other.when;
@@ -161,17 +194,90 @@ class EventQueue
         }
     };
 
-    /** Pop the top entry and move its callback out of the slab. */
-    EventFn popTop();
+    Slot &
+    slot(std::uint32_t idx)
+    {
+        return _chunks[idx >> kChunkShift][idx & (kChunkSlots - 1)];
+    }
 
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+    std::uint32_t
+    allocSlot()
+    {
+        if (_freeSlot != kNoSlot) {
+            const std::uint32_t idx = _freeSlot;
+            _freeSlot = slot(idx).next;
+            return idx;
+        }
+        if ((_slotCount & (kChunkSlots - 1)) == 0)
+            addChunk();
+        return _slotCount++;
+    }
+
+    void addChunk();
+
+    /** Hold slot @p idx in the overflow heap until @p when is within
+     *  the horizon. */
+    void park(Tick when, EventPriority prio, std::uint32_t idx);
+
+    /** Append slot @p idx to the FIFO of (@p when, @p prio).
+     *  @pre now() <= when < now() + kHorizon */
+    void
+    append(Tick when, unsigned prio, std::uint32_t idx)
+    {
+        const unsigned f = static_cast<unsigned>(
+                               when & (kHorizon - 1)) *
+                               kPriorities +
+                           prio;
+        const std::uint64_t bit = std::uint64_t{1} << (f & 63);
+        std::uint64_t &word = _bits[f >> 6];
+        if (word & bit) {
+            slot(_fifos[f].tail).next = idx;
+            _fifos[f].tail = idx;
+        } else {
+            _fifos[f] = Fifo{idx, idx};
+            word |= bit;
+            _summary |= std::uint64_t{1} << (f >> 6);
+        }
+        ++_inWheel;
+    }
+
+    /** Earliest non-empty FIFO. @pre _inWheel > 0 */
+    unsigned firstFifo() const;
+
+    /** Tick of the events in FIFO @p f. */
+    Tick
+    fifoTick(unsigned f) const
+    {
+        return _now + ((f / kPriorities - _now) & (kHorizon - 1));
+    }
+
+    /** Set now() to @p t and pull every overflow event now within
+     *  the horizon into the wheel. */
+    void setNow(Tick t);
+
+    /** Run the earliest event if its tick is <= @p last. */
+    bool runNext(Tick last);
+
+    std::array<std::uint64_t, kWords> _bits{};
+    std::uint64_t _summary = 0;
+    std::size_t _inWheel = 0;
+
+    std::priority_queue<OverflowEntry, std::vector<OverflowEntry>,
                         std::greater<>>
-        _events;
-    std::vector<EventFn> _fnSlots;
-    std::vector<std::uint32_t> _freeSlots;
+        _overflow;
+    std::uint64_t _overflowSeq = 0;
+
+    std::vector<std::unique_ptr<Slot[]>> _chunks;
+    std::uint32_t _slotCount = 0;
+    std::uint32_t _freeSlot = kNoSlot;
+
     Tick _now = 0;
-    std::uint64_t _nextSeq = 0;
+    std::size_t _pending = 0;
     std::uint64_t _executed = 0;
+
+    /** Read only under a set bit, so left uninitialized: building a
+     *  queue writes none of it. */
+    Fifo _fifos[kFifos];
 };
 
 } // namespace nosync

@@ -146,6 +146,21 @@ TEST(FencePolicy, DenovoExecutesLocally)
     EXPECT_FALSE(a.drainBefore); // pure acquire
 }
 
+TEST(FencePolicy, DenovoSyncEngineExecutesGlobalSyncAtTheL2)
+{
+    SyncOp op;
+    op.sem = SyncSemantics::AcquireRelease;
+    op.scope = Scope::Global;
+    FenceActions a = fenceActionsFor(op, ProtocolConfig::ddse());
+    EXPECT_FALSE(a.mayExecuteLocally);
+    EXPECT_TRUE(a.drainBefore);
+    EXPECT_TRUE(a.invalidateAfter);
+
+    op.scope = Scope::Local; // DRF: still global, still at the L2
+    EXPECT_FALSE(fenceActionsFor(op, ProtocolConfig::ddse())
+                     .mayExecuteLocally);
+}
+
 TEST(EnergyModel, ComponentsAccumulate)
 {
     stats::StatSet stats;

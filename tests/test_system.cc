@@ -92,6 +92,27 @@ TEST(System, WatchdogReportsFailure)
     EXPECT_FALSE(result.ok());
 }
 
+// The serial loop runs an event only if its tick is within the
+// budget, as EventQueue::run(limit) does; a hung run reports the
+// budget itself, not the tick of whatever event came next.
+TEST(System, WatchdogNeverRunsPastItsBudget)
+{
+    ScopedLeakTolerance tolerate_abandoned_coroutines;
+    const std::pair<const char *, Tick> cases[] = {
+        {"SPM_G", 100}, {"FAM_G", 100}, {"FAM_G", 5000}, {"SPM_G", 12345}};
+    for (const auto &[name, budget] : cases) {
+        auto workload = makeScaled(name, 10);
+        SystemConfig config;
+        config.execution.maxCycles = budget;
+        System system(config);
+        RunResult result = system.run(*workload);
+        ASSERT_TRUE(result.hang.has_value()) << name << " " << budget;
+        EXPECT_EQ(result.hang->reasonCode, HangReport::kBudgetExhausted);
+        EXPECT_LE(result.cycles, budget) << name;
+        EXPECT_LE(result.hang->tick, budget) << name;
+    }
+}
+
 TEST(SystemDeathTest, SecondRunIsFatal)
 {
     auto w1 = makeScaled("NN", 100);
