@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/race_detector.hh"
 #include "coherence/region_map.hh"
 #include "core/system.hh"
 #include "mem/cache_array.hh"
@@ -260,6 +261,46 @@ BM_DomainFifo(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_DomainFifo);
+
+/**
+ * Race detector on a shared tile: 32 thread blocks each read every
+ * word of a 4 KB tile (so each word carries 32 readers), the kernel
+ * drains, and a second kernel writes each word once. The drain
+ * orders every pair, so the run reports no race and the time is
+ * all shadow lookups and reader scans. Reported per checked access,
+ * detector construction included.
+ */
+static void
+BM_RaceDetectorSharedRead(benchmark::State &state)
+{
+    constexpr unsigned kSlots = 32;
+    constexpr Addr kTile = 0x10000;
+    constexpr unsigned kWords = 4096 / kWordBytes;
+    for (auto _ : state) {
+        analysis::RaceDetector det(ProtocolConfig::gd());
+        Tick tick = 0;
+        for (unsigned tb = 0; tb < kSlots; ++tb) {
+            unsigned slot = det.tbStarted(0, tb, tb % 16);
+            for (unsigned w = 0; w < kWords; ++w)
+                det.dataRead(slot, kTile + w * kWordBytes, ++tick);
+        }
+        for (unsigned slot = 0; slot < kSlots; ++slot)
+            det.tbFinished(slot);
+        for (unsigned tb = 0; tb < kSlots; ++tb) {
+            unsigned slot = det.tbStarted(1, tb, tb % 16);
+            for (unsigned w = tb; w < kWords; w += kSlots)
+                det.dataWrite(slot, kTile + w * kWordBytes, ++tick);
+        }
+        analysis::RaceReport report = det.finalize("tile", "GD");
+        benchmark::DoNotOptimize(report.racesDetected);
+    }
+    state.counters["s_per_access"] = benchmark::Counter(
+        kSlots * kWords + kWords,
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+    state.SetLabel("32 readers per word, then one writer");
+}
+BENCHMARK(BM_RaceDetectorSharedRead);
 
 static void
 BM_EndToEndNN(benchmark::State &state)

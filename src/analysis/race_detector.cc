@@ -207,11 +207,29 @@ RaceDetector::report(Addr addr, const Access &prev, unsigned slot,
         ++_recordsDropped;
 }
 
+RaceDetector::ShadowWord &
+RaceDetector::shadowWord(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    if (line != _lastLine) {
+        if (!_shadow)
+            _shadow.emplace();
+        _lastShadow = &(*_shadow)[line];
+        _lastLine = line;
+    }
+    const WordMask bit = wordMaskOf(addr);
+    if (!(_lastShadow->touched & bit)) {
+        _lastShadow->touched |= bit;
+        ++_wordsTracked;
+    }
+    return _lastShadow->words[wordInLine(addr)];
+}
+
 void
 RaceDetector::checkAndRecordRead(unsigned slot, Addr addr, Tick tick,
                                  AccessKind kind)
 {
-    ShadowWord &word = _shadow[addr];
+    ShadowWord &word = shadowWord(addr);
     const TbState &state = _tbs[slot];
 
     const Access &write = word.write;
@@ -235,7 +253,7 @@ void
 RaceDetector::checkAndRecordWrite(unsigned slot, Addr addr, Tick tick,
                                   AccessKind kind)
 {
-    ShadowWord &word = _shadow[addr];
+    ShadowWord &word = shadowWord(addr);
     const TbState &state = _tbs[slot];
 
     const Access &write = word.write;
@@ -310,6 +328,8 @@ RaceDetector::drainStaged()
 void
 RaceDetector::dataRead(unsigned slot, Addr addr, Tick tick)
 {
+    panic_if(addr != wordAlign(addr), "race-checked load at unaligned "
+             "address ", hexAddr(addr));
     if (stage(StagedOp{StagedOp::kRead, slot, addr, tick, SyncOp{}}))
         return;
     applyDataRead(slot, addr, tick);
@@ -325,6 +345,8 @@ RaceDetector::applyDataRead(unsigned slot, Addr addr, Tick tick)
 void
 RaceDetector::dataWrite(unsigned slot, Addr addr, Tick tick)
 {
+    panic_if(addr != wordAlign(addr), "race-checked store at unaligned "
+             "address ", hexAddr(addr));
     if (stage(StagedOp{StagedOp::kWrite, slot, addr, tick, SyncOp{}}))
         return;
     applyDataWrite(slot, addr, tick);
@@ -344,6 +366,8 @@ RaceDetector::applyDataWrite(unsigned slot, Addr addr, Tick tick)
 void
 RaceDetector::syncPerformed(const SyncOp &op, Tick tick)
 {
+    panic_if(op.addr != wordAlign(op.addr), "atomic performed at "
+             "unaligned address ", hexAddr(op.addr));
     if (stage(StagedOp{StagedOp::kSync, op.tb, op.addr, tick, op}))
         return;
     applySyncPerformed(op, tick);
@@ -458,7 +482,7 @@ RaceDetector::finalize(const std::string &workload,
     report.dataAccesses = _dataAccesses;
     report.syncPerforms = _syncPerforms;
     report.hbEdges = _hbEdges;
-    report.wordsTracked = _shadow.size();
+    report.wordsTracked = _wordsTracked;
     report.racesDetected = _racesDetected;
     report.recordsDropped = _recordsDropped;
     report.truncated = _recordsDropped != 0;

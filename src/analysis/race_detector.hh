@@ -44,13 +44,16 @@
 #ifndef ANALYSIS_RACE_DETECTOR_HH
 #define ANALYSIS_RACE_DETECTOR_HH
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "coherence/protocol.hh"
+#include "mem/line_table.hh"
 #include "sim/types.hh"
 
 namespace nosync
@@ -224,10 +227,10 @@ class RaceDetector
 
     // Functional access stream (TbContext) ----------------------------
 
-    /** Data load issued by @p slot at @p addr. */
+    /** Data load issued by @p slot at word address @p addr. */
     void dataRead(unsigned slot, Addr addr, Tick tick);
 
-    /** Data store issued by @p slot at @p addr. */
+    /** Data store issued by @p slot at word address @p addr. */
     void dataWrite(unsigned slot, Addr addr, Tick tick);
 
     // Synchronization stream (L1/L2 perform sites) --------------------
@@ -237,7 +240,8 @@ class RaceDetector
      * the coherence controllers at the point the operation takes its
      * place in coherence order; op.tb carries the issuing slot (ops
      * issued outside race checking carry kNoRaceSlot and are
-     * ignored).
+     * ignored). op.addr must be word-aligned, like the data hooks'
+     * addresses: the shadow memory is kept per word.
      */
     void syncPerformed(const SyncOp &op, Tick tick);
 
@@ -264,15 +268,28 @@ class RaceDetector
         std::uint32_t slot = kNoRaceSlot;
         std::uint32_t clock = 0;    ///< C_slot[slot] at access time
         std::uint32_t drfClock = 0; ///< shadow all-global clock value
-        Tick tick = 0;
         AccessKind kind = AccessKind::Load;
+        Tick tick = 0;
     };
+    static_assert(sizeof(Access) == 24, "Access packs into 24 bytes");
 
     /** Per-word shadow state (FastTrack-style write + reader set). */
     struct ShadowWord
     {
         Access write;
         std::vector<Access> readers;
+    };
+
+    /**
+     * Shadow state of one cache line: its words in place, plus which
+     * of them have been accessed (for RaceReport::wordsTracked).
+     * Lines are never erased, so a ShadowLine pointer stays valid
+     * for the detector's lifetime (LineTable slabs never move).
+     */
+    struct ShadowLine
+    {
+        std::array<ShadowWord, kWordsPerLine> words;
+        WordMask touched = 0;
     };
 
     /** Per-TB clock state. */
@@ -323,6 +340,9 @@ class RaceDetector
     void applyDataWrite(unsigned slot, Addr addr, Tick tick);
     void applySyncPerformed(const SyncOp &op, Tick tick);
 
+    /** Shadow state of the word at @p addr (created on first use). */
+    ShadowWord &shadowWord(Addr addr);
+
     static void join(Clock &into, const Clock &from);
     static std::uint32_t at(const Clock &clock, std::uint32_t slot);
 
@@ -348,7 +368,13 @@ class RaceDetector
     Clock _base;    ///< device clock: joined at kernel boundaries
     Clock _baseDrf;
 
-    std::unordered_map<Addr, ShadowWord> _shadow;
+    /** Built on first use: constructing a detector allocates nothing
+     *  (the DPOR explorer builds one per schedule). */
+    std::optional<LineTable<ShadowLine>> _shadow;
+    /** Last-line cache: the line of the previous access and its
+     *  shadow (~0 is never a line address, so it starts empty). */
+    Addr _lastLine = ~Addr{0};
+    ShadowLine *_lastShadow = nullptr;
     std::unordered_map<Addr, SyncVar> _syncVars;
 
     std::vector<StageLane> _stages;
@@ -362,6 +388,7 @@ class RaceDetector
     std::uint64_t _dataAccesses = 0;
     std::uint64_t _syncPerforms = 0;
     std::uint64_t _hbEdges = 0;
+    std::uint64_t _wordsTracked = 0;
     std::uint64_t _racesDetected = 0;
     std::uint64_t _recordsDropped = 0;
 };
